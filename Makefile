@@ -1,6 +1,5 @@
 .PHONY: all build test check lint racecheck faultcheck servecheck chaoscheck \
-	bench benchcheck benchbaseline partcheck partbaseline idxcheck \
-	idxbaseline fmt clean
+	bench benchcheck benchbaseline fmt clean
 
 all: build
 
@@ -64,7 +63,11 @@ bench:
 # the plan-quality gate: run the quick scenario registry, fold in a small
 # loadgen summary, and diff the result against the committed baseline —
 # deterministic metrics (rows scanned, q-error, rewrite counts, plan-cache
-# hits, WAL bytes) gate hard; wall-clock drift is report-only
+# hits, WAL bytes) gate hard; wall-clock drift is report-only.  The
+# registry includes the partitioned purchase/part{1,4,8} suite (per-
+# partition counters and rewrite counts with zero slack) and the
+# purchase/idx covering scenario; the online-index crash matrix runs
+# under dune runtest (test_idx)
 benchcheck: build
 	dune exec bench/benchrun.exe -- --quick --label ci --out BENCH.json
 	dune exec bench/loadgen.exe -- --clients 4 --requests 32 --lockdep \
@@ -78,42 +81,6 @@ benchbaseline: build
 	  --out bench/baseline.json
 	dune exec bench/loadgen.exe -- --clients 4 --requests 32 --lockdep \
 	  --json bench/baseline.json
-
-# the partition gate: the purchase id-range suite at 1, 4 and 8 range
-# segments; the 4/8-way runs must return the same rows as the baseline
-# and every pruned segment must report zero rows_scanned / pages_read —
-# the per-partition counters gate with zero absolute slack
-partcheck: build
-	dune exec bench/benchrun.exe -- --quick --label partcheck \
-	  --out PARTBENCH.json --scenario purchase/part1 \
-	  --scenario purchase/part4 --scenario purchase/part8
-	dune exec bin/softdb.exe -- benchdiff bench/part_baseline.json PARTBENCH.json
-
-# refresh the partition baseline after an intentional change to the
-# partitioned scenarios or the pruning planner
-partbaseline: build
-	dune exec bench/benchrun.exe -- --quick --label baseline \
-	  --out bench/part_baseline.json --scenario purchase/part1 \
-	  --scenario purchase/part4 --scenario purchase/part8
-
-# the index gate: the online-build crash matrix (a simulated crash at
-# every idx.backfill.* fault point must leave the index consistent or
-# cleanly demoted), the full lib/idx suite, and the purchase/idx
-# scenario diffed against its committed baseline — the index-only scan
-# must keep its pages_read / rows_scanned reduction and its rewrite
-# count, with zero rewrite slack
-idxcheck: build
-	timeout 300 dune exec test/test_idx.exe -- test crash
-	timeout 300 dune exec test/test_idx.exe
-	dune exec bench/benchrun.exe -- --quick --label idxcheck \
-	  --out IDXBENCH.json --scenario purchase/idx
-	dune exec bin/softdb.exe -- benchdiff bench/idx_baseline.json IDXBENCH.json
-
-# refresh the index baseline after an intentional change to the covering
-# scenario, the index-only planner, or the page-cost model
-idxbaseline: build
-	dune exec bench/benchrun.exe -- --quick --label baseline \
-	  --out bench/idx_baseline.json --scenario purchase/idx
 
 fmt:
 	dune fmt

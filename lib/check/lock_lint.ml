@@ -7,7 +7,8 @@
    acquiring call (grammar in {!Ann}).
 
    The lint scans for the raw acquisition tokens (Mutex.lock,
-   Condition.wait, and the Rwlock entry points) and fails on:
+   Condition.wait, the Rwlock entry points, and the witnessed-mutex
+   helper {!Obs.Lockdep.with_mutex}) and fails on:
    - an acquisition token with no annotation in range;
    - a reference to an undeclared lock (acquired, waited-on, or named
      in a [while] held-clause — each with its own diagnostic);
@@ -29,6 +30,7 @@ let pass = "lock"
 let tokens =
   [
     "Mutex.lock";
+    "Lockdep.with_mutex";
     "Condition.wait";
     "Rwlock.acquire_read";
     "Rwlock.acquire_write";

@@ -56,13 +56,7 @@ let default_capacity = 64
 
 let locked t f =
   (* @acquires core.plan_cache while srv.session db.rwlock *)
-  Obs.Lockdep.acquire "core.plan_cache";
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.lock;
-      Obs.Lockdep.release "core.plan_cache")
-    f
+  Obs.Lockdep.with_mutex "core.plan_cache" t.lock f
 
 (* Rewrite-critical dependencies: every SC a non-estimation-only rewrite
    relied on.  Twins (estimation-only) are excluded.  The report's guard

@@ -45,10 +45,6 @@ type t = {
   mutable frame : frame;
   mutable suppress : bool; (* a DDL statement is executing *)
   mutable dead : bool;
-  shards : (string * Table.rid, int) Hashtbl.t;
-      (* birth shard of each live partitioned row: every record of a rid
-         is tagged with the shard its insert routed to, even if updates
-         later moved the row, so one rid's records stay in one stream *)
 }
 
 let softdb link = link.sdb
@@ -93,32 +89,16 @@ let snapshot_of (sc : Soft_constraint.t) =
     sc_repr = Sc_codec.statement_repr sc.Soft_constraint.statement;
   }
 
-let shard_key table rid = (String.lowercase_ascii table, rid)
-
-(* Birth-shard lookup with a routing fallback: rows inserted before the
-   link attached (or before the table was partitioned) have no map
-   entry, so their current routing is the best available tag. *)
-let shard_of link ~table ~rid row =
-  match Hashtbl.find_opt link.shards (shard_key table rid) with
-  | Some s -> s
-  | None -> Database.route_rid (Softdb.db link.sdb) table row
-
 let on_mutation link m =
   if alive link && not link.suppress then begin
     let txn = ensure_frame link in
     let record =
       match m with
       | Database.Inserted { table; rid; row } ->
-          let shard = Database.route_rid (Softdb.db link.sdb) table row in
-          if shard >= 0 then
-            Hashtbl.replace link.shards (shard_key table rid) shard;
-          Wal.Insert { txn; table; rid; row = Tuple.copy row; shard }
+          Wal.Insert { txn; table; rid; row = Tuple.copy row }
       | Database.Deleted { table; rid; row } ->
-          let shard = shard_of link ~table ~rid row in
-          Hashtbl.remove link.shards (shard_key table rid);
-          Wal.Delete { txn; table; rid; row = Tuple.copy row; shard }
+          Wal.Delete { txn; table; rid; row = Tuple.copy row }
       | Database.Updated { table; rid; before; after } ->
-          let shard = shard_of link ~table ~rid before in
           Wal.Update
             {
               txn;
@@ -126,7 +106,6 @@ let on_mutation link m =
               rid;
               before = Tuple.copy before;
               after = Tuple.copy after;
-              shard;
             }
     in
     Wal.append link.wal record
@@ -253,31 +232,7 @@ let attach sdb wal =
   Obs.Fault.install ();
   List.iter Obs.Fault.declare Txn.fault_points;
   List.iter Obs.Fault.declare Maintenance.fault_points;
-  let link =
-    {
-      sdb;
-      wal;
-      frame = Closed;
-      suppress = false;
-      dead = false;
-      shards = Hashtbl.create 256;
-    }
-  in
-  (* seed the birth-shard map from current segment membership (rows that
-     predate this link: a recovered log, or a freshly declared
-     partitioning over existing data) *)
-  let db = Softdb.db sdb in
-  List.iter
-    (fun tname ->
-      match Database.partitioning db tname with
-      | None -> ()
-      | Some part ->
-          for i = 0 to Partition.count part - 1 do
-            List.iter
-              (fun rid -> Hashtbl.replace link.shards (shard_key tname rid) i)
-              (Partition.members part i)
-          done)
-    (Database.partitioned_tables db);
+  let link = { sdb; wal; frame = Closed; suppress = false; dead = false } in
   Database.on_mutation (Softdb.db sdb) (on_mutation link);
   Database.on_index_state (Softdb.db sdb) (on_index_state link);
   Sc_catalog.on_change (Softdb.catalog sdb) (on_sc_change link);
@@ -400,18 +355,11 @@ let checkpoint link =
           end)
         (Database.indexes_on db tname))
     tables;
-  (* data records re-tag to current routing: the checkpoint inserts are
-     the rows' new births, so the birth-shard map resets with them *)
-  Hashtbl.reset link.shards;
   List.iter
     (fun tname ->
       let tbl = Database.table_exn db tname in
       Table.iteri tbl ~f:(fun rid row ->
-          let shard = Database.route_rid db tname row in
-          if shard >= 0 then
-            Hashtbl.replace link.shards (shard_key tname rid) shard;
-          emit
-            (Wal.Insert { txn; table = tname; rid; row = Tuple.copy row; shard })))
+          emit (Wal.Insert { txn; table = tname; rid; row = Tuple.copy row })))
     tables;
   List.iter
     (fun sc -> emit (Wal.Sc { txn; change = Wal.Sc_installed (snapshot_of sc) }))
@@ -527,63 +475,17 @@ let demote_unfinished_builds sdb =
 
 let recover records =
   let sdb = Softdb.create () in
-  List.iter
-    (fun r ->
-      if Wal.committed_txns records (Wal.txn_of r) then apply_record sdb r)
-    records;
-  demote_unfinished_builds sdb;
-  sdb
-
-(* Sharded replay: committed data records are buffered into per-shard
-   streams (shard [-1] collects unpartitioned tables) and each stream is
-   replayed as an independent unit, in ascending shard order.  Schema
-   and catalog records are barriers — they flush the pending streams —
-   so DDL and SC transitions keep their place relative to the data.
-
-   This is equivalent to the sequential [recover] because (a) all of one
-   rid's records carry the same birth-shard tag, so their relative order
-   survives, and (b) between barriers, records of *different* rids
-   commute: inserts are rid-faithful and deletes/updates address rids
-   directly. *)
-let recover_sharded records =
-  let sdb = Softdb.create () in
+  (* built once: rebuilding it per record makes replay quadratic *)
   let committed = Wal.committed_txns records in
-  let streams : (int, Wal.record list ref) Hashtbl.t = Hashtbl.create 8 in
-  let buffer shard r =
-    match Hashtbl.find_opt streams shard with
-    | Some q -> q := r :: !q
-    | None -> Hashtbl.add streams shard (ref [ r ])
-  in
-  let flush () =
-    Hashtbl.fold (fun shard _ acc -> shard :: acc) streams []
-    |> List.sort compare
-    |> List.iter (fun shard ->
-           let q = Hashtbl.find streams shard in
-           List.iter (apply_record sdb) (List.rev !q));
-    Hashtbl.reset streams
-  in
   List.iter
-    (fun r ->
-      if committed (Wal.txn_of r) then
-        match r with
-        | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ -> ()
-        | Wal.Insert { shard; _ } | Wal.Delete { shard; _ }
-        | Wal.Update { shard; _ } ->
-            buffer shard r
-        | Wal.Ddl _ | Wal.Sc _ | Wal.Idx_state _ ->
-            (* barriers: index state depends on the rows applied so far
-               (a Readable promotion rebuilds from the heap), so pending
-               data streams must land first *)
-            flush ();
-            apply_record sdb r)
+    (fun r -> if committed (Wal.txn_of r) then apply_record sdb r)
     records;
-  flush ();
   demote_unfinished_builds sdb;
   sdb
 
 (* ---- salvage-aware recovery ---------------------------------------------- *)
 
-(* The strict replayers above trust their input; this section is the
+(* The strict replayer above trusts its input; this section is the
    path that faces real, possibly-damaged log files.  Classification
    rule (the torn-tail rule):
 
@@ -785,11 +687,7 @@ let recover_scan ?(mode = Strict) scanned =
   register_report sdb a.partial;
   (sdb, a.partial)
 
-let recover_sharded_scan ?(mode = Strict) scanned =
-  let a = analyze ~mode scanned in
-  let sdb = recover_sharded a.keep in
-  register_report sdb a.partial;
-  (sdb, a.partial)
+let recover_sharded_scan = recover_scan
 
 (* Quarantine and repair the physical file.  [core] does not link unix,
    so truncation is a rewrite: clean prefix to a sibling file, renamed

@@ -503,13 +503,8 @@ let observe_twin t sc_name =
               | Obs.Feedback.Keep -> None
               | Obs.Feedback.Adjust { confidence; refresh } ->
                   (* @acquires core.recalibration while srv.session db.rwlock *)
-                  Obs.Lockdep.acquire "core.recalibration";
-                  Mutex.lock recalibration_lock;
-                  Fun.protect
-                    ~finally:(fun () ->
-                      Mutex.unlock recalibration_lock;
-                      Obs.Lockdep.release "core.recalibration")
-                    (fun () ->
+                  Obs.Lockdep.with_mutex "core.recalibration"
+                    recalibration_lock (fun () ->
                       Sc_catalog.set_kind t.catalog sc
                         (Soft_constraint.Statistical confidence);
                       Sc_catalog.set_anchor t.catalog sc

@@ -44,13 +44,7 @@ type t = {
 
 let locked t f =
   (* @acquires idx.lifecycle while srv.session db.rwlock *)
-  Obs.Lockdep.acquire "idx.lifecycle";
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.lock;
-      Obs.Lockdep.release "idx.lifecycle")
-    f
+  Obs.Lockdep.with_mutex "idx.lifecycle" t.lock f
 
 type progress = {
   p_cursor : int;

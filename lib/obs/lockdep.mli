@@ -30,6 +30,12 @@ val pulse : string -> unit
     for locks whose release happens on a different thread, e.g. the
     session write lock spanning BEGIN .. COMMIT across workers. *)
 
+val with_mutex : string -> Mutex.t -> (unit -> 'a) -> 'a
+(** [with_mutex name m f] runs [f] holding [m], witnessed as the lock
+    [name]: {!acquire}, lock, run, then unlock and {!release} even if
+    [f] raises.  {!Check.Lock_lint} treats the call as an acquisition
+    token, so each call site needs its own [@acquires] annotation. *)
+
 val edge_list : unit -> (string * string * int) list
 (** Observed [(held, acquired, count)] edges, sorted. *)
 

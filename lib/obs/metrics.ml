@@ -43,13 +43,7 @@ let locked t f =
   (* leaf lock: callers tick metrics from under most other subsystems'
      locks, so nothing may be acquired while this is held *)
   (* @acquires obs.metrics while srv.session db.rwlock srv.server.registry core.plan_cache core.recalibration *)
-  Lockdep.acquire "obs.metrics";
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.lock;
-      Lockdep.release "obs.metrics")
-    f
+  Lockdep.with_mutex "obs.metrics" t.lock f
 
 let reset t =
   locked t (fun () ->

@@ -38,13 +38,7 @@ let create ?(capacity = 256) () =
 let locked t f =
   (* leaf lock, like obs.metrics *)
   (* @acquires obs.query_log while srv.session db.rwlock *)
-  Lockdep.acquire "obs.query_log";
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.lock;
-      Lockdep.release "obs.query_log")
-    f
+  Lockdep.with_mutex "obs.query_log" t.lock f
 
 let rec take n = function
   | [] -> []

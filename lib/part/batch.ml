@@ -38,13 +38,7 @@ let size t = Array.length t.tasks
 
 let locked t f =
   (* @acquires srv.scatter.batch while srv.session db.rwlock *)
-  Obs.Lockdep.acquire "srv.scatter.batch";
-  Mutex.lock t.m;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.m;
-      Obs.Lockdep.release "srv.scatter.batch")
-    f
+  Obs.Lockdep.with_mutex "srv.scatter.batch" t.m f
 
 let claim t =
   locked t (fun () ->

@@ -134,11 +134,6 @@ let partitioned_tables t =
   Hashtbl.fold (fun key _ acc -> key :: acc) t.partitions []
   |> List.sort String.compare
 
-let route_rid t table row =
-  match partitioning t table with
-  | None -> -1
-  | Some part -> Partition.route part row
-
 let seg_insert t table rid row =
   match partitioning t table with
   | None -> ()

@@ -111,10 +111,6 @@ val partitioning : t -> string -> Partition.t option
 val partitioned_tables : t -> string list
 (** Normalized names of partitioned base tables, sorted. *)
 
-val route_rid : t -> string -> Tuple.t -> int
-(** The segment this row routes to, [-1] when the table is not
-    partitioned — the WAL shard tag ({!Core.Recovery}). *)
-
 (** {1 Constraints} *)
 
 val checker_env : t -> Checker.env

@@ -28,11 +28,6 @@ type sc_change =
   | Sc_dropped of { name : string }
   | Sc_exception of { name : string; table : string }
 
-(* [shard] is the WAL shard tag: the partition segment whose stream the
-   record belongs to, [-1] for unpartitioned tables.  Tags are assigned
-   at row birth and inherited by the row's later records, so one rid's
-   records always live in one shard stream and the streams can be
-   replayed independently ({!Core.Recovery.recover_sharded}). *)
 type record =
   | Begin of { txn : int }
   | Commit of { txn : int }
@@ -42,14 +37,12 @@ type record =
       table : string;
       rid : Table.rid;
       row : Value.t array;
-      shard : int;
     }
   | Delete of {
       txn : int;
       table : string;
       rid : Table.rid;
       row : Value.t array;
-      shard : int;
     }
   | Update of {
       txn : int;
@@ -57,7 +50,6 @@ type record =
       rid : Table.rid;
       before : Value.t array;
       after : Value.t array;
-      shard : int;
     }
   | Ddl of { txn : int; sql : string }
   | Sc of { txn : int; change : sc_change }
@@ -213,14 +205,12 @@ let take_row fields =
       done;
       (row, !rest)
 
-(* The shard tag is a trailing optional field: unpartitioned records
-   (shard -1) keep the historical line shape, so pre-partitioning logs
-   stay readable. *)
-let shard_fields shard = if shard < 0 then [] else [ string_of_int shard ]
-
-let take_shard = function
-  | [] -> -1
-  | [ s ] -> int_field s
+(* Older logs tagged data records of partitioned tables with one
+   trailing segment number.  Replay never needed it, so it is read and
+   discarded; anything longer is corrupt. *)
+let end_of_data_record = function
+  | [] -> ()
+  | [ tag ] -> ignore (int_field tag : int)
   | _ -> error "trailing fields on data record"
 
 let sc_change_fields = function
@@ -286,15 +276,15 @@ let record_to_line r =
     | Begin { txn } -> [ "B"; string_of_int txn ]
     | Commit { txn } -> [ "C"; string_of_int txn ]
     | Abort { txn } -> [ "A"; string_of_int txn ]
-    | Insert { txn; table; rid; row; shard } ->
+    | Insert { txn; table; rid; row } ->
         [ "I"; string_of_int txn; escape table; string_of_int rid ]
-        @ row_fields row @ shard_fields shard
-    | Delete { txn; table; rid; row; shard } ->
+        @ row_fields row
+    | Delete { txn; table; rid; row } ->
         [ "D"; string_of_int txn; escape table; string_of_int rid ]
-        @ row_fields row @ shard_fields shard
-    | Update { txn; table; rid; before; after; shard } ->
+        @ row_fields row
+    | Update { txn; table; rid; before; after } ->
         [ "U"; string_of_int txn; escape table; string_of_int rid ]
-        @ row_fields before @ row_fields after @ shard_fields shard
+        @ row_fields before @ row_fields after
     | Ddl { txn; sql } -> [ "Q"; string_of_int txn; escape sql ]
     | Sc { txn; change } ->
         "S" :: string_of_int txn :: sc_change_fields change
@@ -310,27 +300,28 @@ let record_of_line line =
   | [ "A"; txn ] -> Abort { txn = int_field txn }
   | "I" :: txn :: table :: rid :: rest ->
       let row, extra = take_row rest in
+      end_of_data_record extra;
       Insert
         {
           txn = int_field txn;
           table = unescape table;
           rid = int_field rid;
           row;
-          shard = take_shard extra;
         }
   | "D" :: txn :: table :: rid :: rest ->
       let row, extra = take_row rest in
+      end_of_data_record extra;
       Delete
         {
           txn = int_field txn;
           table = unescape table;
           rid = int_field rid;
           row;
-          shard = take_shard extra;
         }
   | "U" :: txn :: table :: rid :: rest ->
       let before, rest = take_row rest in
       let after, extra = take_row rest in
+      end_of_data_record extra;
       Update
         {
           txn = int_field txn;
@@ -338,7 +329,6 @@ let record_of_line line =
           rid = int_field rid;
           before;
           after;
-          shard = take_shard extra;
         }
   | [ "Q"; txn; sql ] -> Ddl { txn = int_field txn; sql = unescape sql }
   | "S" :: txn :: rest ->
@@ -631,21 +621,17 @@ let pp_row ppf row =
     Fmt.(array ~sep:(any ", ") (fun ppf v -> Value.pp ppf v))
     row
 
-let pp_shard ppf shard = if shard >= 0 then Fmt.pf ppf " @@%d" shard
-
 let pp_record ppf = function
   | Begin { txn } -> Fmt.pf ppf "BEGIN %d" txn
   | Commit { txn } -> Fmt.pf ppf "COMMIT %d" txn
   | Abort { txn } -> Fmt.pf ppf "ABORT %d" txn
-  | Insert { txn; table; rid; row; shard } ->
-      Fmt.pf ppf "[%d] INSERT %s #%d %a%a" txn table rid pp_row row pp_shard
-        shard
-  | Delete { txn; table; rid; row; shard } ->
-      Fmt.pf ppf "[%d] DELETE %s #%d %a%a" txn table rid pp_row row pp_shard
-        shard
-  | Update { txn; table; rid; before; after; shard } ->
-      Fmt.pf ppf "[%d] UPDATE %s #%d %a -> %a%a" txn table rid pp_row before
-        pp_row after pp_shard shard
+  | Insert { txn; table; rid; row } ->
+      Fmt.pf ppf "[%d] INSERT %s #%d %a" txn table rid pp_row row
+  | Delete { txn; table; rid; row } ->
+      Fmt.pf ppf "[%d] DELETE %s #%d %a" txn table rid pp_row row
+  | Update { txn; table; rid; before; after } ->
+      Fmt.pf ppf "[%d] UPDATE %s #%d %a -> %a" txn table rid pp_row before
+        pp_row after
   | Ddl { txn; sql } -> Fmt.pf ppf "[%d] DDL %s" txn sql
   | Sc { txn; change } ->
       Fmt.pf ppf "[%d] SC %s" txn

@@ -47,13 +47,12 @@ type sc_change =
   | Sc_dropped of { name : string }
   | Sc_exception of { name : string; table : string }
 
-(** Data records carry a {e shard tag}: the partition segment whose
-    per-partition stream the record belongs to, [-1] for unpartitioned
-    tables.  Tags are assigned at row birth and inherited by the row's
-    later records, so one rid's records always live in one stream and
-    {!Core.Recovery.recover_sharded} can replay shards independently.
-    On disk the tag is a trailing optional field — records of
-    unpartitioned tables keep the historical line shape. *)
+(** A log record.  Data records address a row by its table and rid;
+    replay applies them in log order, and inserts are rid-faithful, so a
+    partitioned table's segment membership is re-derived by routing each
+    replayed row — the log itself is partition-agnostic.  Logs written
+    before this layout tagged partitioned data records with one trailing
+    segment number; the reader accepts and discards it. *)
 type record =
   | Begin of { txn : int }
   | Commit of { txn : int }
@@ -63,14 +62,12 @@ type record =
       table : string;
       rid : Table.rid;
       row : Value.t array;
-      shard : int;
     }
   | Delete of {
       txn : int;
       table : string;
       rid : Table.rid;
       row : Value.t array;
-      shard : int;
     }
   | Update of {
       txn : int;
@@ -78,7 +75,6 @@ type record =
       rid : Table.rid;
       before : Value.t array;
       after : Value.t array;
-      shard : int;
     }
   | Ddl of { txn : int; sql : string }
       (** A schema statement, logged as its printed SQL and re-executed

@@ -64,13 +64,7 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) metrics =
 
 let locked t f =
   (* @acquires srv.breaker *)
-  Obs.Lockdep.acquire "srv.breaker";
-  Mutex.lock t.m;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.m;
-      Obs.Lockdep.release "srv.breaker")
-    f
+  Obs.Lockdep.with_mutex "srv.breaker" t.m f
 
 (* 0 closed / 1 open / 2 half-open, the sys.metrics gauge encoding *)
 let state_code = function Closed -> 0 | Open _ -> 1 | Half_open -> 2

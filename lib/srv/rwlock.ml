@@ -41,13 +41,7 @@ let locked t f =
   (* the short internal state mutex; callers hold the session mutex and
      may logically hold the rwlock itself (reentrant re-acquire paths) *)
   (* @acquires srv.rwlock.state while srv.session db.rwlock *)
-  Obs.Lockdep.acquire "srv.rwlock.state";
-  Mutex.lock t.m;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.m;
-      Obs.Lockdep.release "srv.rwlock.state")
-    f
+  Obs.Lockdep.with_mutex "srv.rwlock.state" t.m f
 
 let poll_interval_s = 0.001
 

@@ -62,13 +62,7 @@ let locked t f =
   (* the scatter runner submits helper jobs mid-query, so this mutex can
      be taken while the submitting session's locks are held *)
   (* @acquires srv.scheduler.queue while srv.session db.rwlock *)
-  Obs.Lockdep.acquire "srv.scheduler.queue";
-  Mutex.lock t.m;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.m;
-      Obs.Lockdep.release "srv.scheduler.queue")
-    f
+  Obs.Lockdep.with_mutex "srv.scheduler.queue" t.m f
 
 let note_domain t =
   let id = (Domain.self () :> int) in

@@ -44,13 +44,7 @@ let locked t f =
   (* held during query execution too: the sys.sessions generator runs
      under the executing session's locks *)
   (* @acquires srv.server.registry while srv.session db.rwlock *)
-  Obs.Lockdep.acquire "srv.server.registry";
-  Mutex.lock t.m;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.m;
-      Obs.Lockdep.release "srv.server.registry")
-    f
+  Obs.Lockdep.with_mutex "srv.server.registry" t.m f
 
 let create ?workers ?(queue_capacity = 64) ?plan_cache_capacity
     ?(default_deadline_ms = 10_000) ?breaker_config sdb =

@@ -110,13 +110,7 @@ let make ~id ~sdb ~cache ~metrics =
 
 let locked t f =
   (* @acquires srv.session *)
-  Obs.Lockdep.acquire "srv.session";
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.lock;
-      Obs.Lockdep.release "srv.session")
-    f
+  Obs.Lockdep.with_mutex "srv.session" t.lock f
 
 let id t = t.id
 let name t = locked t (fun () -> t.name)

@@ -46,39 +46,31 @@ let chan () =
   }
 
 let chan_send c line =
-  (* @acquires srv.transport.chan *)
-  Obs.Lockdep.acquire "srv.transport.chan";
-  Mutex.lock c.m;
-  let closed = c.closed in
-  if not closed then begin
-    Queue.push line c.q;
-    Condition.signal c.nonempty
-  end;
-  Mutex.unlock c.m;
-  Obs.Lockdep.release "srv.transport.chan";
+  let closed =
+    (* @acquires srv.transport.chan *)
+    Obs.Lockdep.with_mutex "srv.transport.chan" c.m (fun () ->
+        if not c.closed then begin
+          Queue.push line c.q;
+          Condition.signal c.nonempty
+        end;
+        c.closed)
+  in
   if closed then raise Closed
 
 let chan_recv c =
   (* @acquires srv.transport.chan *)
-  Obs.Lockdep.acquire "srv.transport.chan";
-  Mutex.lock c.m;
-  while Queue.is_empty c.q && not c.closed do
-    (* @waits srv.transport.chan *)
-    Condition.wait c.nonempty c.m
-  done;
-  let r = if Queue.is_empty c.q then None else Some (Queue.pop c.q) in
-  Mutex.unlock c.m;
-  Obs.Lockdep.release "srv.transport.chan";
-  r
+  Obs.Lockdep.with_mutex "srv.transport.chan" c.m (fun () ->
+      while Queue.is_empty c.q && not c.closed do
+        (* @waits srv.transport.chan *)
+        Condition.wait c.nonempty c.m
+      done;
+      if Queue.is_empty c.q then None else Some (Queue.pop c.q))
 
 let chan_close c =
   (* @acquires srv.transport.chan *)
-  Obs.Lockdep.acquire "srv.transport.chan";
-  Mutex.lock c.m;
-  c.closed <- true;
-  Condition.broadcast c.nonempty;
-  Mutex.unlock c.m;
-  Obs.Lockdep.release "srv.transport.chan"
+  Obs.Lockdep.with_mutex "srv.transport.chan" c.m (fun () ->
+      c.closed <- true;
+      Condition.broadcast c.nonempty)
 
 let pipe () =
   let c2s = chan () (* client -> server *) and s2c = chan () in
@@ -116,13 +108,7 @@ let of_fd fd ~peer =
   let closed = ref false in
   let send line =
     (* @acquires srv.transport.write *)
-    Obs.Lockdep.acquire "srv.transport.write";
-    Mutex.lock wm;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.unlock wm;
-        Obs.Lockdep.release "srv.transport.write")
-      (fun () ->
+    Obs.Lockdep.with_mutex "srv.transport.write" wm (fun () ->
         if !closed then raise Closed;
         try
           output_string oc line;
@@ -133,15 +119,12 @@ let of_fd fd ~peer =
   let recv () = try Some (input_line ic) with End_of_file | Sys_error _ -> None in
   let close () =
     (* @acquires srv.transport.write *)
-    Obs.Lockdep.acquire "srv.transport.write";
-    Mutex.lock wm;
-    if not !closed then begin
-      closed := true;
-      (try flush oc with Sys_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-    end;
-    Mutex.unlock wm;
-    Obs.Lockdep.release "srv.transport.write"
+    Obs.Lockdep.with_mutex "srv.transport.write" wm (fun () ->
+        if not !closed then begin
+          closed := true;
+          (try flush oc with Sys_error _ -> ());
+          (try Unix.close fd with Unix.Unix_error _ -> ())
+        end)
   in
   { send; recv; close; peer }
 

@@ -274,6 +274,15 @@ let test_lock_lint_synthetic () =
        "lock-order violation");
   check tbool "unannotated acquisition fails" true
     (has_error_containing (lint "let f m = Mutex.lock m\n") "unannotated");
+  check tbool "unannotated with_mutex call fails" true
+    (has_error_containing
+       (lint "let f m g = Obs.Lockdep.with_mutex \"lk.a\" m g\n")
+       "unannotated");
+  check tint "annotated with_mutex call passes" 0
+    (errors_of
+       (lint
+          "(* @acquires lk.b while lk.a *)\n\
+           let f m g = Obs.Lockdep.with_mutex \"lk.b\" m g\n"));
   check tbool "undeclared lock fails" true
     (has_error_containing
        (lint "(* @acquires lk.zzz *)\nlet f m = Mutex.lock m\n")

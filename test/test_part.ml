@@ -5,8 +5,8 @@
    verifiable Check certificates, partition-local invalidation and the
    guarded fallback after a mid-flight overturn, the aligned-join
    cardinality cap, sys.partitions with per-partition scan counters, and
-   crash recovery of a partitioned database (shard-tagged WAL records,
-   checkpointing, sequential vs sharded replay equivalence). *)
+   crash recovery of a partitioned database (replay, checkpointing, and
+   logs whose data records still carry a trailing segment tag). *)
 
 open Rel
 
@@ -258,7 +258,9 @@ let scan_partitions plan =
     | Exec.Plan.Partition_scan { partition; _ } -> partition :: acc
     | Exec.Plan.Scatter_gather { children; _ } ->
         List.fold_left (fun acc (_, p) -> go acc p) acc children
-    | Exec.Plan.Seq_scan _ | Exec.Plan.Index_scan _ -> acc
+    | Exec.Plan.Seq_scan _ | Exec.Plan.Index_scan _
+    | Exec.Plan.Index_only_scan _ ->
+        acc
     | Exec.Plan.Filter { input; _ }
     | Exec.Plan.Project { input; _ }
     | Exec.Plan.Sort { input; _ }
@@ -480,7 +482,7 @@ let test_sys_partitions_and_scan_counters () =
           "SELECT table_name FROM sys.partitions")
          .Exec.Executor.rows)
 
-(* ---- recovery: shard tags, checkpoint, sharded replay ---------------------- *)
+(* ---- recovery: replay, checkpoint, tagged logs -------------------------- *)
 
 let wal_fixture () =
   Obs.Fault.reset ();
@@ -499,48 +501,15 @@ let wal_fixture () =
   done;
   (sdb, wal, link)
 
-let test_wal_records_carry_birth_shards () =
-  let sdb, wal, link = wal_fixture () in
-  (* a migrating update and a delete inherit the row's birth shard
-     (ids are dense, so free a slot in segment 1 before moving into it) *)
-  ignore (Core.Softdb.exec sdb "DELETE FROM p WHERE id = 700");
-  ignore (Core.Softdb.exec sdb "UPDATE p SET id = 700 WHERE id = 7");
-  ignore (Core.Softdb.exec sdb "DELETE FROM p WHERE id = 1100");
-  Core.Recovery.flush link;
-  let shard_of_insert id =
-    List.find_map
-      (function
-        | Wal.Insert { table = "p"; row; shard; _ }
-          when Tuple.get row 0 = Value.Int id ->
-            Some shard
-        | _ -> None)
-      (Wal.records wal)
-  in
-  check tbool "insert of id 7 tagged shard 0" true (shard_of_insert 7 = Some 0);
-  check tbool "insert of id 600 tagged shard 1" true
-    (shard_of_insert 600 = Some 1);
-  check tbool "insert of id 1100 tagged shard 2" true
-    (shard_of_insert 1100 = Some 2);
-  let tag_of p =
-    List.find_map
-      (fun r -> match p r with Some s -> Some s | None -> None)
-      (Wal.records wal)
-  in
-  check tbool "migrating update keeps the birth shard" true
-    (tag_of (function
-       | Wal.Update { table = "p"; before; shard; _ }
-         when Tuple.get before 0 = Value.Int 7 ->
-           Some shard
-       | _ -> None)
-    = Some 0);
-  check tbool "delete keeps the birth shard" true
-    (tag_of (function
-       | Wal.Delete { table = "p"; row; shard; _ }
-         when Tuple.get row 0 = Value.Int 1100 ->
-           Some shard
-       | _ -> None)
-    = Some 2);
-  Core.Recovery.detach link
+(* mined domain SCs, then cross-segment UPDATE/DELETE traffic on top *)
+let mine_and_churn sdb =
+  ignore (Core.Softdb.mine_partition_domains sdb ~table:"p");
+  for i = 1 to 300 do
+    ignore
+      (Core.Softdb.exec sdb
+         (Printf.sprintf "UPDATE p SET v = %d WHERE id = %d" (i mod 5) (i * 4)))
+  done;
+  ignore (Core.Softdb.exec sdb "DELETE FROM p WHERE v = 3")
 
 let all_p sdb = List.sort compare (rows_of sdb "SELECT id, v, s FROM p")
 
@@ -548,9 +517,15 @@ let segment_rows sdb =
   let part = part_of sdb in
   List.init (Partition.count part) (Partition.rows part)
 
+let sc_states sdb =
+  List.map
+    (fun (sc : Core.Soft_constraint.t) ->
+      (sc.Core.Soft_constraint.name, sc.Core.Soft_constraint.state))
+    (Core.Sc_catalog.all (Core.Softdb.catalog sdb))
+
 let test_recover_restores_partitioning () =
   let sdb, wal, link = wal_fixture () in
-  ignore (Core.Softdb.mine_partition_domains sdb ~table:"p");
+  mine_and_churn sdb;
   Core.Recovery.flush link;
   let sdb2 = Core.Recovery.recover (Wal.records wal) in
   check tbool "rows identical" true (all_p sdb = all_p sdb2);
@@ -558,6 +533,7 @@ let test_recover_restores_partitioning () =
     (Database.partitioned_tables (Core.Softdb.db sdb2) = [ "p" ]);
   check tbool "segment membership identical" true
     (segment_rows sdb = segment_rows sdb2);
+  check tbool "identical catalogs" true (sc_states sdb = sc_states sdb2);
   (* mined SCs travel as catalog transitions, not DDL side effects *)
   List.iter
     (fun i ->
@@ -569,34 +545,6 @@ let test_recover_restores_partitioning () =
     [ 0; 1; 2 ];
   Core.Recovery.detach link
 
-let test_sharded_replay_equivalent () =
-  let sdb, wal, link = wal_fixture () in
-  ignore (Core.Softdb.mine_partition_domains sdb ~table:"p");
-  (* interleaved cross-shard traffic after mining: the sharded replay
-     must regroup it without reordering any single rid's history *)
-  for i = 1 to 300 do
-    ignore
-      (Core.Softdb.exec sdb
-         (Printf.sprintf "UPDATE p SET v = %d WHERE id = %d" (i mod 5) (i * 4)))
-  done;
-  ignore (Core.Softdb.exec sdb "DELETE FROM p WHERE v = 3");
-  Core.Recovery.flush link;
-  let seq = Core.Recovery.recover (Wal.records wal) in
-  let sharded = Core.Recovery.recover_sharded (Wal.records wal) in
-  check tbool "identical rows" true (all_p seq = all_p sharded);
-  check tbool "identical segment membership" true
-    (segment_rows seq = segment_rows sharded);
-  check tbool "identical catalogs" true
-    (List.map
-       (fun (sc : Core.Soft_constraint.t) ->
-         (sc.Core.Soft_constraint.name, sc.Core.Soft_constraint.state))
-       (Core.Sc_catalog.all (Core.Softdb.catalog seq))
-    = List.map
-        (fun (sc : Core.Soft_constraint.t) ->
-          (sc.Core.Soft_constraint.name, sc.Core.Soft_constraint.state))
-        (Core.Sc_catalog.all (Core.Softdb.catalog sharded)));
-  Core.Recovery.detach link
-
 let test_checkpoint_preserves_partitioning () =
   let sdb, wal, link = wal_fixture () in
   ignore (Core.Softdb.mine_partition_domains sdb ~table:"p");
@@ -604,18 +552,56 @@ let test_checkpoint_preserves_partitioning () =
   (* post-checkpoint traffic lands on top of the compacted image *)
   ignore (Core.Softdb.exec sdb "INSERT INTO p VALUES (1201, 1, 'post')");
   Core.Recovery.flush link;
-  List.iter
-    (fun recover ->
-      let sdb2 = recover (Wal.records wal) in
-      check tbool "rows identical after checkpoint" true
-        (all_p sdb = all_p sdb2);
-      check tbool "partitioning survives the checkpoint" true
-        (Database.partitioned_tables (Core.Softdb.db sdb2) = [ "p" ]);
-      check tbool "segment membership identical" true
-        (segment_rows sdb = segment_rows sdb2);
-      check tbool "domain SC survives the checkpoint" true
-        (find_sc sdb2 "p_p2_domain" <> None))
-    [ Core.Recovery.recover; Core.Recovery.recover_sharded ];
+  let sdb2 = Core.Recovery.recover (Wal.records wal) in
+  check tbool "rows identical after checkpoint" true (all_p sdb = all_p sdb2);
+  check tbool "partitioning survives the checkpoint" true
+    (Database.partitioned_tables (Core.Softdb.db sdb2) = [ "p" ]);
+  check tbool "segment membership identical" true
+    (segment_rows sdb = segment_rows sdb2);
+  check tbool "domain SC survives the checkpoint" true
+    (find_sc sdb2 "p_p2_domain" <> None);
+  Core.Recovery.detach link
+
+(* A v2 log line whose data payload ends in [extra], as older writers
+   emitted for partitioned tables (one trailing segment tag). *)
+let tagged_line ~lsn r extra =
+  let payload = Wal.record_to_line r ^ extra in
+  let lsn_s = string_of_int lsn in
+  Printf.sprintf "L%s\t%s\t%s" lsn_s
+    (Crc32.to_hex (Crc32.string (lsn_s ^ "\t" ^ payload)))
+    payload
+
+let test_tagged_log_recovers () =
+  let sdb, wal, link = wal_fixture () in
+  mine_and_churn sdb;
+  Core.Recovery.flush link;
+  let part = part_of sdb in
+  let tag row = Printf.sprintf "\t%d" (Partition.route part row) in
+  let image =
+    Wal.records wal
+    |> List.mapi (fun i r ->
+           let extra =
+             match r with
+             | Wal.Insert { table = "p"; row; _ }
+             | Wal.Delete { table = "p"; row; _ }
+             | Wal.Update { table = "p"; before = row; _ } ->
+                 tag row
+             | _ -> ""
+           in
+           tagged_line ~lsn:(i + 1) r extra ^ "\n")
+    |> String.concat ""
+  in
+  let scanned = Wal.scan_string image in
+  check tbool "every tagged line parses" true
+    (List.for_all
+       (fun (s : Wal.scanned) -> Result.is_ok s.Wal.parsed)
+       scanned);
+  let sdb2, report = Core.Recovery.recover_scan scanned in
+  check tbool "no corrupt lines" true (report.Core.Recovery.corrupt = []);
+  check tbool "rows identical" true (all_p sdb = all_p sdb2);
+  check tbool "segment membership identical" true
+    (segment_rows sdb = segment_rows sdb2);
+  check tbool "identical catalogs" true (sc_states sdb = sc_states sdb2);
   Core.Recovery.detach link
 
 let () =
@@ -664,13 +650,11 @@ let () =
         ] );
       ( "recovery",
         [
-          Alcotest.test_case "WAL records carry birth shards" `Quick
-            test_wal_records_carry_birth_shards;
           Alcotest.test_case "recover restores partitioning" `Quick
             test_recover_restores_partitioning;
-          Alcotest.test_case "sharded replay equivalent" `Quick
-            test_sharded_replay_equivalent;
           Alcotest.test_case "checkpoint preserves partitioning" `Quick
             test_checkpoint_preserves_partitioning;
+          Alcotest.test_case "segment-tagged log recovers" `Quick
+            test_tagged_log_recovers;
         ] );
     ]

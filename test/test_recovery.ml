@@ -41,8 +41,8 @@ let codec_records =
   in
   [
     Wal.Begin { txn = 7 };
-    Wal.Insert { txn = 7; table = "t"; rid = 3; row = nasty_row; shard = -1 };
-    Wal.Delete { txn = 7; table = "t"; rid = 0; row = nasty_row; shard = 2 };
+    Wal.Insert { txn = 7; table = "t"; rid = 3; row = nasty_row };
+    Wal.Delete { txn = 7; table = "t"; rid = 0; row = nasty_row };
     Wal.Update
       {
         txn = 7;
@@ -50,7 +50,6 @@ let codec_records =
         rid = 1;
         before = nasty_row;
         after = [| Value.Int 1; Value.Float (1.0 /. 3.0) |];
-        shard = 0;
       };
     Wal.Ddl { txn = 7; sql = "CREATE TABLE t (a INT)" };
     Wal.Sc { txn = 7; change = Wal.Sc_installed snap };
@@ -91,7 +90,15 @@ let test_wal_corrupt_line_rejected () =
       match Wal.record_of_line line with
       | exception Wal.Wal_error _ -> ()
       | _ -> Alcotest.failf "accepted corrupt line %S" line)
-    [ ""; "Z\t1"; "I\t1\tt"; "I\t1\tt\t0\t2\tI1" ]
+    [
+      "";
+      "Z\t1";
+      "I\t1\tt";
+      "I\t1\tt\t0\t2\tI1";
+      (* an older log's segment tag is one trailing integer, no more *)
+      "I\t1\tt\t0\t1\tI7\t0\t1";
+      "U\t1\tt\t0\t1\tI7\t1\tI8\tx";
+    ]
 
 let test_sc_codec_roundtrip () =
   let stmts =
@@ -785,8 +792,9 @@ let test_lsn_regression_detected () =
        report.Core.Recovery.corrupt);
   cleanup_wal path
 
-let test_sharded_salvage_equivalent () =
-  (* the sharded replayer must make the identical salvage decisions *)
+let test_salvage_scan_matches_file () =
+  (* the pure scan path and the file path make the identical salvage
+     decisions, and a later autocommit survives the dropped frame *)
   let sdb, link, path = file_fixture () in
   Obs.Fault.arm ~after:1 "wal.io" (Obs.Fault.Bit_flip 5);
   probe_commit sdb;
@@ -795,16 +803,18 @@ let test_sharded_salvage_equivalent () =
   Wal.close (Core.Recovery.wal link);
   Obs.Fault.reset ();
   let scanned = Wal.scan_string (read_bytes path) in
-  let seq, seq_report =
+  let scan, scan_report =
     Core.Recovery.recover_scan ~mode:Core.Recovery.Salvage scanned
   in
-  let shd, shd_report =
-    Core.Recovery.recover_sharded_scan ~mode:Core.Recovery.Salvage scanned
+  let file, file_report =
+    Core.Recovery.recover_file ~mode:Core.Recovery.Salvage path
   in
-  check tbool "same rows" true (rows_of seq = rows_of shd);
-  check tbool "same report" true (seq_report = shd_report);
+  check tbool "same rows" true (rows_of scan = rows_of file);
+  check tbool "same dropped txns" true
+    (scan_report.Core.Recovery.dropped_txns
+    = file_report.Core.Recovery.dropped_txns);
   check tbool "later autocommit survives the drop" true
-    (List.mem [ Value.Int 20; Value.Int 40 ] (rows_of seq));
+    (List.mem [ Value.Int 20; Value.Int 40 ] (rows_of scan));
   cleanup_wal path
 
 (* ---- recovery edge cases -------------------------------------------------- *)
@@ -937,8 +947,8 @@ let () =
             test_bit_flip_after_last_commit;
           Alcotest.test_case "lsn regression" `Quick
             test_lsn_regression_detected;
-          Alcotest.test_case "sharded salvage equivalent" `Quick
-            test_sharded_salvage_equivalent;
+          Alcotest.test_case "salvage scan matches file" `Quick
+            test_salvage_scan_matches_file;
         ] );
       ( "edges",
         [
