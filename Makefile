@@ -45,14 +45,12 @@ faultcheck:
 servecheck:
 	timeout 300 dune exec test/test_srv.exe
 
-# the chaos gate: the torn-tail/bit-flip salvage matrix (part of the
-# recovery suite), then an overload burst — many clients against one
-# worker and a two-slot queue — that must trip the circuit breaker and
-# finish with zero queued jobs dying of deadline expiry; the breaker /
-# backoff counters land in CHAOS.json
+# the chaos gate: an overload burst — many clients against one worker
+# and a two-slot queue — that must trip the circuit breaker and finish
+# with zero queued jobs dying of deadline expiry; the breaker / backoff
+# counters land in CHAOS.json.  (The torn-tail/bit-flip salvage matrix
+# is part of the recovery suite and runs under `make test`.)
 chaoscheck: build
-	timeout 300 dune exec test/test_recovery.exe -- test salvage
-	timeout 300 dune exec test/test_recovery.exe -- test edges
 	rm -f CHAOS.json
 	timeout 300 dune exec bench/loadgen.exe -- --clients 12 --workers 1 \
 	  --queue 2 --requests 6 --expect-breaker --json CHAOS.json

@@ -5,12 +5,14 @@
     a 'backup' plan which is ASC-free.  If an ASC is overturned, a flag is
     raised and packages revert to the alternative plans."
 
-    A prepared entry keeps the optimized plan, the names of the soft
-    constraints its rewrites relied on, and a backup plan compiled with
-    the soft-constraint machinery off.  Execution runs the fast plan while
-    every rewrite-critical dependency is still Active, and the backup
-    afterwards; twins (estimation-only) never invalidate — a plan chosen
-    under stale statistics is merely sub-optimal.
+    A prepared entry caches the optimizer's report, whose [guards] (every
+    premise of a result-changing rewrite) and [backup_plan] (the
+    rewrite-free plan {!Check.Cert} certifies) are the whole §4.1
+    mechanism — the same ones {!Softdb.execute_report} uses for ad-hoc
+    queries.  Execution runs the fast plan while every guard passes
+    {!Softdb.guard_ok}, and the backup afterwards; twins (estimation-only)
+    are never guards — a plan chosen under stale statistics is merely
+    sub-optimal.
 
     The cache is bounded and LRU-evicting (prepare and execute both count
     as use; evictions surface in {!stats}, the sys.plan_cache [last_used]
@@ -23,12 +25,11 @@ type entry = {
   sql : string;
   query : Sqlfe.Ast.query;
   mutable report : Opt.Explain.report;
-  mutable deps : string list;
-  mutable backup : Exec.Plan.t;
+      (** the fast plan, its guards and its backup plan *)
   mutable obj_tables : string list;
-      (** tables any compiled plan opens — DDL-staleness tracking *)
+      (** tables either compiled plan opens — DDL-staleness tracking *)
   mutable obj_indexes : string list;
-      (** indexes any compiled plan probes; a dropped or demoted one
+      (** indexes either compiled plan probes; a dropped or demoted one
           forces re-preparation from SQL before the next run *)
   mutable invalidated : bool;
   mutable fast_runs : int;
@@ -48,9 +49,6 @@ val create : ?capacity:int -> Softdb.t -> t
     (via {!Softdb.set_plan_cache_source}).  [capacity] bounds the entry
     count (default {!default_capacity}); raises [Invalid_argument] when
     < 1. *)
-
-val dependencies_of : Opt.Explain.report -> string list
-(** The rewrite-critical SC names of a report (twins excluded). *)
 
 val prepare : t -> name:string -> string -> entry
 (** Optimize and cache under [name] (replacing an entry of that name).
@@ -81,13 +79,20 @@ val stats : t -> cache_stats
 (** Aggregate fast-vs-backup run counts across all entries, plus the
     capacity bound and total evictions. *)
 
-val execute : t -> string -> Exec.Executor.result
-(** Fast plan while valid, backup plan once a dependency is overturned.
-    If DDL made the compiled plans stale first (a referenced table or
-    index dropped, a referenced index demoted), the entry is re-prepared
-    from its SQL before running — counted in the
+val execute_entry : t -> entry -> Exec.Executor.result
+(** Fast plan while valid, the report's backup plan once a guard is
+    overturned (the fallback is counted once, at the valid→invalid
+    transition).  If DDL made the compiled plans stale first (a
+    referenced table or index dropped, a referenced index demoted), the
+    entry is re-prepared from its SQL before running — counted in the
     [plan_cache.ddl_repreparations] metric — so a stale plan is never
-    opened. *)
+    opened.  Runs the entry even if it was evicted since the caller got
+    it, so find-then-execute cannot race with another session's
+    eviction. *)
+
+val execute : t -> string -> Exec.Executor.result
+(** [execute t name = execute_entry t e] for the entry [e] cached under
+    [name]; raises {!No_such_plan} if there is none. *)
 
 val reprepare : t -> unit
 (** Re-optimize every invalidated or DDL-stale entry against the current

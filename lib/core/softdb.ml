@@ -398,63 +398,12 @@ let matching_rids t ~table pred =
     (Table.fold tbl ~init:[] ~f:(fun acc rid row ->
          if keep row then rid :: acc else acc))
 
-(* Some rewrite rules log no constraint attribution (FD simplification,
-   hole trimming, unsatisfiability detection): their rewrite context was
-   assembled from whole classes of usable absolute SCs.  Guard such plans
-   conservatively on every usable absolute SC of the class — an
-   over-approximate guard can only cause a spurious fallback, never a
-   wrong result. *)
-let class_guards t (applied : Opt.Rewrite.applied list) =
-  let fired rule =
-    List.exists
-      (fun (a : Opt.Rewrite.applied) ->
-        a.Opt.Rewrite.rule = rule && a.Opt.Rewrite.sc = None)
-      applied
-  in
-  let of_class keep =
-    List.filter_map
-      (fun (sc : Soft_constraint.t) ->
-        if Soft_constraint.is_absolute sc && keep sc.Soft_constraint.statement
-        then Some sc.Soft_constraint.name
-        else None)
-      (Sc_catalog.usable t.catalog)
-  in
-  let fd = function Soft_constraint.Fd_stmt _ -> true | _ -> false in
-  let holes = function Soft_constraint.Holes_stmt _ -> true | _ -> false in
-  (if fired "fd_simplification" then of_class fd else [])
-  @ (if fired "hole_trimming" then of_class holes else [])
-  @
-  if fired "unsatisfiable" || fired "unionall_pruning" then
-    of_class (fun _ -> true)
-  else []
-
-(* Certificate premises that are catalog SCs must also be guarded: a
-   result-changing rewrite can rest on more constraints than the one it
-   logged as [sc] (e.g. the key witness behind a join elimination may
-   itself be an overturnable ASC). *)
-let premise_guards t (applied : Opt.Rewrite.applied list) =
-  List.concat_map
-    (fun (a : Opt.Rewrite.applied) ->
-      if Opt.Rewrite.delta_changes_results a.Opt.Rewrite.delta then
-        List.filter
-          (fun name -> Sc_catalog.find t.catalog name <> None)
-          a.Opt.Rewrite.premises
-      else [])
-    applied
-
+(* The report carries its own §4.1 guards (every premise of a
+   result-changing rewrite) and ASC-free backup plan; ad-hoc execution
+   ({!execute_report}) and prepared plans ({!Plan_cache}) both run off
+   them. *)
 let optimize ?flags t (q : Sqlfe.Ast.query) =
-  let report = Opt.Explain.optimize (rewrite_ctx ?flags t) (planner_env t) q in
-  match
-    class_guards t report.Opt.Explain.applied
-    @ premise_guards t report.Opt.Explain.applied
-  with
-  | [] -> report
-  | extra ->
-      {
-        report with
-        Opt.Explain.guards =
-          List.sort_uniq String.compare (report.Opt.Explain.guards @ extra);
-      }
+  Opt.Explain.optimize (rewrite_ctx ?flags t) (planner_env t) q
 
 (* ---- cardinality feedback -------------------------------------------------- *)
 
@@ -591,8 +540,8 @@ let guard_ok t name =
 
 (* One guarded fallback happened on the strength of [failed] guard
    names: count it, and attribute it to every partition whose domain SC
-   is among them.  Shared with {!Plan_cache}, whose prepared plans fall
-   back through their own validity check. *)
+   is among them.  Shared with {!Plan_cache}, whose prepared plans check
+   the same report guards and revert to the same backup. *)
 let note_guard_fallback t failed =
   Obs.Metrics.incr t.metrics "sc_guard_fallbacks";
   List.iter

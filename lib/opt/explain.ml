@@ -16,13 +16,6 @@ type report = {
   backup_plan : Plan.t option;
 }
 
-(* Estimation-only rewrites (twins) never change results, so they need no
-   guard; every other fired rule did change the plan's semantics on the
-   strength of some constraint. *)
-let result_changing applied =
-  List.filter (fun (a : Rewrite.applied) -> a.Rewrite.rule <> "twinning")
-    applied
-
 (* Index-only access is decided inside the planner, not the rewriter;
    collect each such scan so it can be surfaced as an applied
    "index_only" entry — with a certificate, a guard, and a backup —
@@ -70,10 +63,20 @@ let optimize (ctx : Rewrite.ctx) (penv : Planner.env) (q : Sqlfe.Ast.query) :
       (List.rev (index_only_accesses plan []))
   in
   let applied = applied @ idx_applied in
-  let changing = result_changing applied in
+  (* Estimation-only rewrites (twins) never change results, so they need
+     no guard; every other rewrite is guarded on every premise its
+     soundness argument rests on ([premises] already includes [sc]). *)
+  let changing =
+    List.filter
+      (fun (a : Rewrite.applied) ->
+        Rewrite.delta_changes_results a.Rewrite.delta)
+      applied
+  in
   let guards =
     List.sort_uniq String.compare
-      (List.filter_map (fun (a : Rewrite.applied) -> a.Rewrite.sc) changing)
+      (List.concat_map
+         (fun (a : Rewrite.applied) -> a.Rewrite.premises)
+         changing)
   in
   let backup_plan =
     (* only needed when a rewrite actually changed the query: the backup

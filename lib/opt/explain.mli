@@ -12,9 +12,10 @@ type report = {
   plan : Exec.Plan.t;
   estimated_cost : float;
   guards : string list;
-      (** names of the constraints the result-changing rewrites relied
-          on (estimation-only twins excluded) — execution re-checks
-          their validity at open (paper §4.1) *)
+      (** the sorted union of the premises of every result-changing
+          rewrite ({!Rewrite.delta_changes_results}; estimation-only
+          twins excluded) — execution re-checks their validity at open
+          and reverts to [backup_plan] if one fails (paper §4.1) *)
   backup_plan : Exec.Plan.t option;
       (** the rewrite-free plan, present whenever a result-changing
           rewrite fired; execution degrades to it if a guard fails *)

@@ -86,7 +86,7 @@ type t = {
   mutable queries : int; (* read statements executed *)
   mutable writes : int; (* mutating statements executed *)
   mutable errors : int;
-  prepared : (string, string) Hashtbl.t; (* handle -> shared cache key *)
+  prepared : (string, string) Hashtbl.t; (* handle -> SQL text *)
   cancelled : (int, unit) Hashtbl.t; (* request ids cancelled in queue *)
 }
 
@@ -163,8 +163,6 @@ let guard_engine f =
   | Opt.Planner.Unplannable m -> failed Proto.Exec_error "cannot plan: %s" m
   | Opt.Logical.Unsupported m -> failed Proto.Exec_error "unsupported: %s" m
   | Core.Txn.Transaction_error m -> failed Proto.Txn_error "%s" m
-  | Core.Plan_cache.No_such_plan m ->
-      failed Proto.Exec_error "no such prepared plan: %s" m
   | Transport.Closed -> failed Proto.Session_closed "connection closed"
   | Scheduler.Would_block as e -> raise e
   | exn -> failed Proto.Exec_error "internal error: %s" (Printexc.to_string exn)
@@ -292,18 +290,20 @@ let exec_sql ~rwlock ~deadline t sql =
 
 (* Prepared plans are shared across sessions by SQL text: preparing a
    query someone else already compiled binds to the same entry. *)
+let cache_key sql = "sql:" ^ sql
+
 let prepare ~rwlock ~deadline t ~handle sql =
   guard_engine (fun () ->
-      let key = "sql:" ^ sql in
       let payload =
         under_lock ~rwlock ~deadline t ~write:false (fun () ->
             guard_engine (fun () ->
                 let _, created =
-                  Core.Plan_cache.find_or_prepare t.cache ~name:key sql
+                  Core.Plan_cache.find_or_prepare t.cache ~name:(cache_key sql)
+                    sql
                 in
                 if not created then
                   Obs.Metrics.incr t.metrics "plan_cache.shared_hits";
-                Hashtbl.replace t.prepared handle key;
+                Hashtbl.replace t.prepared handle sql;
                 Proto.Ok_msg (Printf.sprintf "prepared %s" handle)))
       in
       payload)
@@ -311,20 +311,21 @@ let prepare ~rwlock ~deadline t ~handle sql =
 let execute_prepared ~rwlock ~deadline t handle =
   match Hashtbl.find_opt t.prepared handle with
   | None -> failed Proto.Exec_error "no prepared handle %s in this session" handle
-  | Some key ->
+  | Some sql ->
       guard_engine (fun () ->
           let payload =
             under_lock ~rwlock ~deadline t ~write:false (fun () ->
                 guard_engine (fun () ->
                     (* re-prepare transparently if the shared entry was
-                       LRU-evicted since this session bound the handle *)
-                    (match Core.Plan_cache.find t.cache key with
-                    | Some _ -> ()
-                    | None ->
-                        ignore
-                          (Core.Plan_cache.prepare t.cache ~name:key
-                             (String.sub key 4 (String.length key - 4))));
-                    result_to_payload (Core.Plan_cache.execute t.cache key)))
+                       LRU-evicted since this session bound the handle,
+                       then run the entry in hand: looking it up again by
+                       name would race with another session's eviction *)
+                    let entry, _ =
+                      Core.Plan_cache.find_or_prepare t.cache
+                        ~name:(cache_key sql) sql
+                    in
+                    result_to_payload
+                      (Core.Plan_cache.execute_entry t.cache entry)))
           in
           (match payload with
           | Proto.Failed _ -> t.errors <- t.errors + 1

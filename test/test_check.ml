@@ -563,6 +563,39 @@ let test_registry_certificates () =
   check tint "registry certificates are clean" 0 (errors_of diags);
   check tbool "report renders a PASS line" true (contains report "PASS")
 
+(* The §4.1 guards are exactly the premises of the result-changing
+   rewrites, all hold on a freshly planned catalog (so a fresh plan never
+   falls back), and a guarded plan always carries its backup. *)
+let test_registry_guards () =
+  List.iter
+    (fun (f : Benchkit.Scenario.fixture) ->
+      let sdb = f.Benchkit.Scenario.fixture_setup Benchkit.Scenario.Quick in
+      List.iter
+        (fun sql ->
+          let r =
+            Core.Softdb.optimize sdb (Sqlfe.Parser.parse_query_string sql)
+          in
+          let what = f.Benchkit.Scenario.fixture_name ^ ": " ^ sql in
+          let premises =
+            List.concat_map
+              (fun (c : Opt.Explain.certificate) ->
+                if c.Opt.Explain.cert_result_changing then
+                  c.Opt.Explain.cert_premises
+                else [])
+              (Opt.Explain.certificates r)
+          in
+          check
+            Alcotest.(list string)
+            ("guards are the premises: " ^ what)
+            (List.sort_uniq String.compare premises)
+            r.Opt.Explain.guards;
+          check tbool ("fresh guards hold: " ^ what) true
+            (List.for_all (Core.Softdb.guard_ok sdb) r.Opt.Explain.guards);
+          check tbool ("guarded plan has a backup: " ^ what) true
+            (r.Opt.Explain.guards = [] || r.Opt.Explain.backup_plan <> None))
+        f.Benchkit.Scenario.fixture_queries)
+    Benchkit.Scenario.fixtures
+
 (* ---- sc_guard_fallbacks accounting ----------------------------------------- *)
 
 let fallbacks sdb =
@@ -598,20 +631,37 @@ let test_fallback_once_per_statement () =
   check tint "each guarded execution counts once" 2 (fallbacks sdb)
 
 (* A cached plan that went invalid counts its fallback once, at the
-   transition — not on every later execution of the backup. *)
+   transition — not on every later execution of the backup — and reverts
+   to the same backup ad-hoc execution of the same SQL uses. *)
 let test_fallback_once_per_cache_entry () =
   let sdb = purchase_banded () in
   let cache = Core.Plan_cache.create ~capacity:4 sdb in
   ignore (Core.Plan_cache.prepare cache ~name:"q" ship_eq);
   ignore (Core.Plan_cache.execute cache "q");
   check tint "valid entry: no fallback" 0 (fallbacks sdb);
+  (* the same SQL planned for ad-hoc execution before the overturn *)
+  let report =
+    Core.Softdb.optimize sdb (Sqlfe.Parser.parse_query_string ship_eq)
+  in
   violating_insert sdb;
   for _ = 1 to 3 do
     ignore (Core.Plan_cache.execute cache "q")
   done;
   let s = Core.Plan_cache.stats cache in
   check tint "backup ran every time" 3 s.Core.Plan_cache.backup_runs;
-  check tint "fallback counted once, at invalidation" 1 (fallbacks sdb)
+  check tint "fallback counted once, at invalidation" 1 (fallbacks sdb);
+  let cached = Core.Plan_cache.execute cache "q" in
+  let adhoc, fell_back = Core.Softdb.execute_report sdb report in
+  check tbool "ad-hoc plan falls back too" true fell_back;
+  check tbool "same rows from both backups" true
+    (Exec.Executor.same_rows cached adhoc);
+  let counters (r : Exec.Executor.result) =
+    let c = r.Exec.Executor.counters in
+    Exec.Operators.Counters.(c.rows_scanned, c.pages_read)
+  in
+  check
+    Alcotest.(pair int int)
+    "same rows_scanned and pages_read" (counters adhoc) (counters cached)
 
 let () =
   Alcotest.run "check"
@@ -660,6 +710,8 @@ let () =
             test_differential_registry;
           Alcotest.test_case "registry certificates" `Slow
             test_registry_certificates;
+          Alcotest.test_case "registry guards are rewrite premises" `Slow
+            test_registry_guards;
         ] );
       ( "fallbacks",
         [

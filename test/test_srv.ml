@@ -427,6 +427,28 @@ let test_plan_cache_lru_eviction () =
   in
   check tint "two sys.plan_cache rows" 2 (List.length r.Exec.Executor.rows)
 
+(* The entry a caller holds stays runnable after another prepare evicts
+   it: executing by name would fail, executing the entry in hand must
+   not — the race a session's find-then-execute used to lose. *)
+let test_plan_cache_evicted_entry_executes () =
+  let sdb = small_purchase_sdb () in
+  let cache = Core.Plan_cache.create ~capacity:1 sdb in
+  let sql_a = Workload.Queries.purchase_ship_eq (Date.of_ymd 1999 6 1) in
+  let sql_b = Workload.Queries.purchase_ship_eq (Date.of_ymd 1999 6 2) in
+  let entry = Core.Plan_cache.prepare cache ~name:"a" sql_a in
+  ignore (Core.Plan_cache.prepare cache ~name:"b" sql_b);
+  check tbool "a evicted" true (Core.Plan_cache.find cache "a" = None);
+  check tbool "execute by name fails" true
+    (match Core.Plan_cache.execute cache "a" with
+    | exception Core.Plan_cache.No_such_plan _ -> true
+    | _ -> false);
+  let expected = Core.Softdb.query_baseline sdb sql_a in
+  check tbool "baseline is non-empty" true (expected.Exec.Executor.rows <> []);
+  check tbool "evicted entry returns its own rows" true
+    (Exec.Executor.same_rows
+       (Core.Plan_cache.execute_entry cache entry)
+       expected)
+
 let test_plan_cache_rejects_bad_capacity () =
   let sdb = small_purchase_sdb ~rows:50 () in
   check tbool "capacity 0 refused" true
@@ -801,7 +823,8 @@ let test_sc_overturn_falls_back_across_sessions () =
   in
   check tint "first run used the fast plan" 1 (entry ()).Core.Plan_cache.fast_runs;
   check tbool "fast plan depends on the band" true
-    (List.mem "cache_band" (entry ()).Core.Plan_cache.deps);
+    (List.mem "cache_band"
+       (entry ()).Core.Plan_cache.report.Opt.Explain.guards);
   (* b overturns the ASC with a violating row shipped on the probe day *)
   (match
      rpc_retry bclient
@@ -909,7 +932,8 @@ let test_partition_sc_overturn_guarded_fallback () =
       (Core.Plan_cache.find (Srv.Server.plan_cache server) ("sql:" ^ sql))
   in
   check tbool "fast plan depends on the domain SC" true
-    (List.mem "purchase_p2_domain" (entry ()).Core.Plan_cache.deps);
+    (List.mem "purchase_p2_domain"
+       (entry ()).Core.Plan_cache.report.Opt.Explain.guards);
   (* b lands a row out of band; segment 2's SC overturns, siblings keep *)
   (match
      rpc_retry bclient
@@ -1267,6 +1291,8 @@ let () =
         [
           Alcotest.test_case "LRU eviction at capacity" `Quick
             test_plan_cache_lru_eviction;
+          Alcotest.test_case "evicted entry still executes" `Quick
+            test_plan_cache_evicted_entry_executes;
           Alcotest.test_case "capacity must be positive" `Quick
             test_plan_cache_rejects_bad_capacity;
         ] );
